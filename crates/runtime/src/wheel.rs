@@ -45,6 +45,14 @@
 //!    hold can undercut a long one that was already peeked) is
 //!    merge-inserted into the sorted current bucket, where it still pops
 //!    ahead of every later bucket.
+//!
+//! # Bucket buffers
+//!
+//! A near slot owns a buffer only while it holds events: loading a bucket
+//! moves the slot's buffer into `current`, and the drained `current`
+//! buffer joins a spare pool capped at [`SPARE_ENTRIES`] entries of total
+//! capacity (overflow is freed). Retained capacity is thus the pending
+//! events plus a constant, and small buckets cycle without allocating.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -59,6 +67,10 @@ use std::time::Instant;
 const SLOTS: usize = 256;
 /// Occupancy bitmask words.
 const WORDS: usize = SLOTS / 64;
+/// Total capacity, in entries, of the drained bucket buffers kept for
+/// reuse. Enough for every slot to reopen with a few-entry buffer;
+/// burst-sized buffers are freed once drained.
+const SPARE_ENTRIES: usize = 4 * SLOTS;
 
 /// A point on a wheel's time axis: totally ordered and quantizable to a
 /// bucket index against a scale.
@@ -161,7 +173,8 @@ impl<T: WheelTime, V> PartialOrd for FarEntry<T, V> {
 pub struct TimerWheel<T: WheelTime, V> {
     scale: T::Scale,
     /// Near wheel: bucket `tick % SLOTS`, valid while
-    /// `cursor_tick < tick < cursor_tick + SLOTS`.
+    /// `cursor_tick < tick < cursor_tick + SLOTS`. An empty slot holds
+    /// no allocation.
     slots: Vec<Vec<Entry<T, V>>>,
     /// Occupancy bitmask over `slots`.
     occupied: [u64; WORDS],
@@ -174,6 +187,10 @@ pub struct TimerWheel<T: WheelTime, V> {
     /// Far level: everything at or beyond the near horizon, a min-heap
     /// on `(tick, seq)`.
     far: BinaryHeap<Reverse<FarEntry<T, V>>>,
+    /// Empty bucket buffers for reuse, `spare_cap` entries of capacity
+    /// in total (at most [`SPARE_ENTRIES`]).
+    spare: Vec<Vec<Entry<T, V>>>,
+    spare_cap: usize,
     /// Tick of the bucket `current` was loaded from.
     cursor_tick: u64,
     seq: u64,
@@ -191,6 +208,8 @@ impl<T: WheelTime, V> TimerWheel<T, V> {
             current: Vec::new(),
             current_pos: 0,
             far: BinaryHeap::new(),
+            spare: Vec::new(),
+            spare_cap: 0,
             cursor_tick: 0,
             seq: 0,
             len: 0,
@@ -232,12 +251,7 @@ impl<T: WheelTime, V> TimerWheel<T, V> {
             self.current.insert(self.current_pos + at, entry);
         } else if tick < self.cursor_tick + SLOTS as u64 {
             let s = (tick % SLOTS as u64) as usize;
-            debug_assert!(
-                self.occupied[s >> 6] & (1 << (s & 63)) == 0 || self.slot_tick[s] == tick,
-                "near-wheel slot cohort mixed ticks"
-            );
-            self.occupied[s >> 6] |= 1 << (s & 63);
-            self.slot_tick[s] = tick;
+            self.open_slot(s, tick);
             self.slots[s].push(Entry { time, seq, value });
         } else {
             self.far.push(Reverse(FarEntry {
@@ -301,26 +315,60 @@ impl<T: WheelTime, V> TimerWheel<T, V> {
                 break;
             }
             let Reverse(FarEntry { tick, entry }) = self.far.pop().expect("peeked entry exists");
-            if tick == target {
-                self.current.push(entry);
-            } else {
-                let s = (tick % SLOTS as u64) as usize;
-                self.occupied[s >> 6] |= 1 << (s & 63);
-                self.slot_tick[s] = tick;
-                self.slots[s].push(entry);
-            }
+            let s = (tick % SLOTS as u64) as usize;
+            self.open_slot(s, tick);
+            self.slots[s].push(entry);
         }
 
-        // Drain the target cohort itself.
+        // The target cohort's buffer becomes the current bucket; the
+        // drained one it replaces goes back to the pool.
         let s = (target % SLOTS as u64) as usize;
-        if self.occupied[s >> 6] & (1 << (s & 63)) != 0 && self.slot_tick[s] == target {
-            self.occupied[s >> 6] &= !(1 << (s & 63));
-            self.current.append(&mut self.slots[s]);
-        }
+        self.occupied[s >> 6] &= !(1 << (s & 63));
+        let drained = std::mem::replace(&mut self.current, std::mem::take(&mut self.slots[s]));
+        self.recycle(drained);
         // Sort the bucket once: ascending (time, seq). Sequence numbers
         // are unique, so the order is total and the sort deterministic.
         self.current.sort_unstable_by(|a, b| a.key_cmp(b));
         debug_assert!(!self.current.is_empty(), "target tick had no events");
+    }
+
+    /// Mark slot `s` as holding cohort `tick`, giving it a pooled buffer
+    /// if it has none.
+    #[inline]
+    fn open_slot(&mut self, s: usize, tick: u64) {
+        debug_assert!(
+            self.occupied[s >> 6] & (1 << (s & 63)) == 0 || self.slot_tick[s] == tick,
+            "near-wheel slot cohort mixed ticks"
+        );
+        self.occupied[s >> 6] |= 1 << (s & 63);
+        self.slot_tick[s] = tick;
+        if self.slots[s].capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                self.spare_cap -= buf.capacity();
+                self.slots[s] = buf;
+            }
+        }
+    }
+
+    /// Keep an empty bucket buffer for reuse if the pool has room for
+    /// it; free it otherwise.
+    fn recycle(&mut self, buf: Vec<Entry<T, V>>) {
+        debug_assert!(buf.is_empty());
+        let cap = buf.capacity();
+        if cap > 0 && self.spare_cap + cap <= SPARE_ENTRIES {
+            self.spare_cap += cap;
+            self.spare.push(buf);
+        }
+    }
+
+    /// Entries of capacity the wheel holds allocated: pending events
+    /// plus slack and pooled spares. Exposed for the retention tests.
+    #[doc(hidden)]
+    pub fn retained_capacity(&self) -> usize {
+        self.slots.iter().map(Vec::capacity).sum::<usize>()
+            + self.current.capacity()
+            + self.far.capacity()
+            + self.spare_cap
     }
 
     #[inline]

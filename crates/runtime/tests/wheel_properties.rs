@@ -112,3 +112,40 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 }
+
+/// Retained bucket memory tracks what is pending, not what was ever
+/// drained: K bursts of M events, each into its own near slot and fully
+/// drained before the next, leave the wheel holding a few bursts' worth
+/// of capacity at most — the same after the last burst as after the
+/// second — where keeping every drained slot's buffer would hold K × M.
+#[test]
+fn drained_bursts_do_not_accumulate_capacity() {
+    const M: usize = 4096;
+    const K: usize = 200;
+    let mut wheel: TimerWheel<f64, u64> = TimerWheel::new(1.0 / 1.0e-6);
+    let mut after_second = 0;
+    for k in 0..K {
+        // Burst k lands in tick k + 1: a distinct slot each time, all
+        // within one revolution of the cursor.
+        let t = (k + 1) as f64 * 1.0e-6;
+        for i in 0..M {
+            wheel.push(t, i as u64);
+        }
+        for i in 0..M {
+            assert_eq!(wheel.pop(), Some((t, i as u64)));
+        }
+        assert!(wheel.is_empty());
+        let retained = wheel.retained_capacity();
+        assert!(
+            retained <= 3 * M,
+            "burst {k}: {retained} entries retained for bursts of {M}"
+        );
+        if k == 1 {
+            after_second = retained;
+        }
+    }
+    assert!(
+        wheel.retained_capacity() <= after_second,
+        "retention grew with the number of bursts"
+    );
+}
